@@ -36,8 +36,8 @@ pub(crate) mod wide;
 /// A decode-kernel override: which kernel executes the column-matching
 /// program. `Auto` (the default) lets dispatch choose.
 ///
-/// Settable per codec with [`BatchCodec::with_kernel`]
-/// (crate::BatchCodec::with_kernel) or process-wide with the
+/// Settable per codec with
+/// [`BatchCodec::with_kernel`](crate::BatchCodec::with_kernel) or process-wide with the
 /// `SFQ_BATCH_KERNEL` environment variable (values: `auto`, `scalar-u64`,
 /// `u128`, `wide256`, `direct`), read once at codec construction. Forcing
 /// `direct` on a code whose redundancy exceeds 8 falls back to the scalar
@@ -59,8 +59,8 @@ pub enum KernelKind {
 }
 
 /// An unrecognized kernel-override value (from `SFQ_BATCH_KERNEL` or
-/// [`KernelKind::parse`]). Carries the offending string; the [`Display`]
-/// (std::fmt::Display) message lists the accepted values.
+/// [`KernelKind::parse`]). Carries the offending string; the
+/// [`Display`](std::fmt::Display) message lists the accepted values.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelEnvError {
     value: String,
@@ -111,7 +111,7 @@ impl KernelKind {
     ///
     /// Long-running services should call this once at startup and surface
     /// the error to the operator; codec construction itself never aborts on
-    /// a bad value (see [`KernelKind::from_env_or_auto`]).
+    /// a bad value — it warns once and falls back to `Auto`.
     ///
     /// # Errors
     /// Returns [`KernelEnvError`] when the variable is set to an

@@ -18,7 +18,7 @@
 //! [`BatchCodec`] is built from any scalar [`BlockCode`] + [`HardDecoder`]
 //! whose hard decisions are **coset-invariant**: the correction applied to a
 //! received word depends only on its syndrome. Construction compiles the
-//! decoder into a [`ColumnMatchProgram`]: a list of `(syndrome pattern,
+//! decoder into a *column-match program*: a list of `(syndrome pattern,
 //! flip mask)` entries covering exactly the *correctable* syndromes. Batch
 //! decoding computes the `r = n − k` syndrome bit-slices, and per 64-message
 //! limb:
@@ -58,9 +58,9 @@
 //!   syndromes bit-sliced across each dirty limb** (even powers follow from
 //!   the Frobenius square), and runs only the scalar algebra — Berlekamp–
 //!   Massey plus a closed-form locator root solve — per dirty lane, with its
-//!   syndromes supplied for free. [`BatchCodec::with_scalar_fallback`]
-//!   remains as the slow reference engine (unpack each dirty lane, run the
-//!   whole scalar decoder). Work is metered by the `batch.bch.*` counters.
+//!   syndromes supplied for free. Its oracle is the scalar decoder itself:
+//!   the workspace's equivalence tests compare it word by word against
+//!   `Bch::decode`. Work is metered by the `batch.bch.*` counters.
 //!
 //! ## Decode kernels and runtime dispatch
 //!
@@ -96,9 +96,9 @@
 
 use ecc::{
     generator_right_inverse, AlgebraicAction, AlgebraicDecode, BatchDecode, BatchDecoded,
-    BatchEncode, BatchScratch, Bch, BchSpec, BitFlipPlan, BlockCode, DecodeOutcome, Decoded,
-    Hamming74, Hamming84, HardDecoder, IterativeDecode, Ldpc, Repetition, Rm13, SecDed,
-    ShortenedHamming, SlicedSyndromePlan, SyndromeClass, Uncoded,
+    BatchEncode, BatchScratch, Bch, BchSpec, BitFlipPlan, BlockCode, ColumnCode, DecodeOutcome,
+    HardDecoder, IterativeDecode, Ldpc, Repetition, Rm13, SlicedSyndromePlan, SyndromeClass,
+    Uncoded,
 };
 use gf2::{or_reduce, BitMat, BitSlice64, BitVec};
 use std::sync::Arc;
@@ -162,28 +162,6 @@ struct ColumnMatchProgram {
 /// Upper bound of the per-limb prefix-mask table (`2^4`).
 const PREFIX_SLOTS: usize = 16;
 
-/// The scalar-fallback decode engine for [`SyndromeClass::Algebraic`]
-/// decoders: limbs are screened with the bit-sliced syndrome OR-reduce, and
-/// only *dirty* lanes are unpacked and handed to the owned scalar decoder.
-#[derive(Clone)]
-struct AlgebraicFallback {
-    /// The owned scalar decoder, type-erased.
-    decode: Arc<dyn Fn(&BitVec) -> Decoded + Send + Sync>,
-    /// Locator evaluations one scalar decode of a dirty word performs
-    /// (e.g. `n` Chien-search points for BCH); used for work metering only.
-    locator_evals_per_word: u64,
-    /// `batch.bch.*` telemetry handles.
-    metrics: AlgebraicMetrics,
-}
-
-impl std::fmt::Debug for AlgebraicFallback {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AlgebraicFallback")
-            .field("locator_evals_per_word", &self.locator_evals_per_word)
-            .finish_non_exhaustive()
-    }
-}
-
 /// The type-erased per-lane algebra of a [`SlicedAlgebraic`] engine:
 /// `(power syndromes, full syndrome) → action`.
 type AlgebraicActionFn = Arc<dyn Fn(&[u16], u128) -> AlgebraicAction + Send + Sync>;
@@ -236,32 +214,28 @@ enum DecodeEngine {
     /// Bit-sliced power-syndrome accumulation + per-lane algebra
     /// (`Algebraic`, the default engine for BCH).
     SlicedAlgebraic(SlicedAlgebraic),
-    /// Bit-sliced syndrome screen + scalar decode of dirty lanes
-    /// (`Algebraic`, reference engine).
-    ScalarFallback(AlgebraicFallback),
     /// Whole-limb synchronous bit flipping (`Iterative`, the engine for
     /// LDPC).
     BitFlip(BitFlipEngine),
 }
 
-/// Telemetry handles of the algebraic fallback path, registered under the
+/// Telemetry handles of the sliced algebraic engine, registered under the
 /// `batch.bch.*` names (see `docs/OBSERVABILITY.md`). Like
 /// [`DecodeMetrics`], the kernel accumulates into locals and flushes once
 /// per decode call.
 #[derive(Debug, Clone)]
 struct AlgebraicMetrics {
-    /// Lanes whose syndrome was nonzero (each runs the per-lane algebra or
-    /// one scalar decode).
+    /// Lanes whose syndrome was nonzero (each runs the weight-1 prefilter,
+    /// then the per-lane algebra if no column matched).
     dirty_lanes: sfq_telemetry::Counter,
     /// Dirty lanes the decoder corrected.
     fallback_corrected: sfq_telemetry::Counter,
     /// Dirty lanes the decoder flagged detected-uncorrectable.
     fallback_flagged: sfq_telemetry::Counter,
-    /// Error-locator evaluations performed (Chien-search points for the
-    /// scalar fallback; applied flip bits for the closed-form solve).
+    /// Error-locator evaluations performed (applied flip bits of the
+    /// closed-form root solve).
     locator_evals: sfq_telemetry::Counter,
-    /// Limbs that ran the bit-sliced power-syndrome accumulation (sliced
-    /// engine only; stays zero under the scalar fallback).
+    /// Limbs that ran the bit-sliced power-syndrome accumulation.
     sliced_syndrome_limbs: sfq_telemetry::Counter,
     /// `batch.kernel.selected.<engine>` — decode calls served.
     kernel_selected: sfq_telemetry::Counter,
@@ -435,7 +409,7 @@ pub struct DetectSummary {
 ///
 /// * the generator's column supports (for lane encoding),
 /// * the parity-check rows (for lane syndromes),
-/// * the per-code [`ColumnMatchProgram`] (for lane decoding),
+/// * the per-code decode engine (for lane decoding),
 /// * the pivot/transform pair of [`generator_right_inverse`] (for lane
 ///   message extraction).
 ///
@@ -450,8 +424,8 @@ pub struct BatchCodec {
     encode_masks: Vec<u128>,
     /// `syndrome_masks[t]`: support of parity-check row `t` over codeword bits.
     syndrome_masks: Vec<u128>,
-    /// The decode engine: a compiled column-matching program, or the
-    /// scalar-fallback screen for algebraic decoders.
+    /// The decode engine: a compiled column-matching program, the sliced
+    /// algebraic engine, or the bit-flip engine.
     engine: DecodeEngine,
     /// `extract_masks[j]`: support over codeword bits whose parity is message
     /// bit `j` (from the generator's right inverse).
@@ -477,8 +451,7 @@ impl BatchCodec {
     /// the parity-check matrix does not have full row rank, if a
     /// `ColumnFlip` decoder fails its per-column scalar probe, or if the
     /// decoder declares [`SyndromeClass::Algebraic`] (build those with
-    /// [`BatchCodec::with_sliced_algebraic`] — or
-    /// [`BatchCodec::with_scalar_fallback`] for the reference engine) or
+    /// [`BatchCodec::with_sliced_algebraic`]) or
     /// [`SyndromeClass::Iterative`] (build those with
     /// [`BatchCodec::with_bit_flip`]).
     #[must_use]
@@ -496,9 +469,7 @@ impl BatchCodec {
                     SyndromeClass::Algebraic => panic!(
                         "{}: algebraic decoders have too many correctable syndromes to \
                          tabulate; build with BatchCodec::with_sliced_algebraic (the \
-                         default engine — registry members are one BatchCodec::bch_spec \
-                         call away), or BatchCodec::with_scalar_fallback for the slow \
-                         reference engine",
+                         registry members are one BatchCodec::bch_spec call away)",
                         code.name()
                     ),
                     SyndromeClass::Iterative => panic!(
@@ -518,39 +489,14 @@ impl BatchCodec {
         Self::build(code, engine)
     }
 
-    /// Builds the batch engine for a [`SyndromeClass::Algebraic`] decoder:
-    /// bit-sliced syndrome accumulation with the clean-limb short-circuit,
-    /// plus an owned clone of the scalar decoder that is invoked **per dirty
-    /// lane only**. `locator_evals_per_word` meters the locator-evaluation
-    /// work one scalar decode performs (`batch.bch.locator_evals`).
-    ///
-    /// # Panics
-    /// Panics under the same size/rank conditions as [`BatchCodec::new`].
-    #[must_use]
-    pub fn with_scalar_fallback<C>(code: &C, locator_evals_per_word: usize) -> Self
-    where
-        C: BlockCode + HardDecoder + Clone + Send + Sync + 'static,
-    {
-        let engine = |code: &C, _redundancy: usize| {
-            let owned = code.clone();
-            DecodeEngine::ScalarFallback(AlgebraicFallback {
-                decode: Arc::new(move |word: &BitVec| owned.decode(word)),
-                locator_evals_per_word: locator_evals_per_word as u64,
-                metrics: AlgebraicMetrics::new("scalar-fallback"),
-            })
-        };
-        Self::build(code, engine)
-    }
-
     /// Builds the batch engine for a [`SyndromeClass::Algebraic`] decoder
     /// that implements [`AlgebraicDecode`]: odd power syndromes are
     /// accumulated **bit-sliced across each dirty limb** (shared by up to 64
     /// lanes; even powers follow from the Frobenius square), and only the
     /// per-lane algebra — Berlekamp–Massey plus the closed-form locator root
     /// solve — runs per dirty lane, with its syndromes supplied for free.
-    /// This is the default engine for BCH ([`BatchCodec::bch`]); the
-    /// unpack-and-decode [`BatchCodec::with_scalar_fallback`] engine remains
-    /// as the slow reference.
+    /// This is the engine behind [`BatchCodec::bch`] and
+    /// [`BatchCodec::bch_spec`].
     ///
     /// # Panics
     /// Panics under the same size/rank conditions as [`BatchCodec::new`].
@@ -688,7 +634,7 @@ impl BatchCodec {
 
     /// The kernel dispatch would run for a batch of `batch` messages:
     /// `direct4`, `direct8`, `walk-u64`, `walk-u128`, `walk-w256`,
-    /// `sliced`, `scalar-fallback`, or `bit-flip` (the engine-named
+    /// `sliced`, or `bit-flip` (the engine-named
     /// algebraic/iterative paths are fixed per constructor). Used by benches
     /// and reports; decode results never depend on it.
     #[must_use]
@@ -702,7 +648,6 @@ impl BatchCodec {
             )
             .name(),
             DecodeEngine::SlicedAlgebraic(_) => "sliced",
-            DecodeEngine::ScalarFallback(_) => "scalar-fallback",
             DecodeEngine::BitFlip(_) => "bit-flip",
         }
     }
@@ -710,13 +655,13 @@ impl BatchCodec {
     /// Batch engine for the Hamming(7,4) code.
     #[must_use]
     pub fn hamming74() -> Self {
-        Self::new(&Hamming74::new())
+        Self::new(&ColumnCode::hamming74())
     }
 
     /// Batch engine for the extended Hamming(8,4) code.
     #[must_use]
     pub fn hamming84() -> Self {
-        Self::new(&Hamming84::new())
+        Self::new(&ColumnCode::hamming84())
     }
 
     /// Batch engine for the RM(1,3) code (tie-detecting decoder).
@@ -741,14 +686,14 @@ impl BatchCodec {
     /// (`m = 6` is the wide (72,64) code).
     #[must_use]
     pub fn sec_ded(m: usize) -> Self {
-        Self::new(&SecDed::new(m))
+        Self::new(&ColumnCode::sec_ded(m))
     }
 
     /// Batch engine for the wide Shortened Hamming(85,64) demonstration code
     /// — 21 syndrome lanes, beyond any tabulable syndrome space.
     #[must_use]
     pub fn wide_hamming_85_64() -> Self {
-        Self::new(&ShortenedHamming::wide_85_64())
+        Self::new(&ColumnCode::wide_85_64())
     }
 
     /// Batch engine for the multi-error BCH(31,16) code (`t = 2`,
@@ -795,14 +740,13 @@ impl BatchCodec {
     }
 
     /// Number of compiled match entries (one per correctable syndrome).
-    /// Scalar-fallback engines compile no entries and report zero.
+    /// The sliced algebraic and bit-flip engines compile no entries and
+    /// report zero.
     #[must_use]
     pub fn program_len(&self) -> usize {
         match &self.engine {
             DecodeEngine::ColumnMatch(program) => program.entries.len(),
-            DecodeEngine::SlicedAlgebraic(_)
-            | DecodeEngine::ScalarFallback(_)
-            | DecodeEngine::BitFlip(_) => 0,
+            DecodeEngine::SlicedAlgebraic(_) | DecodeEngine::BitFlip(_) => 0,
         }
     }
 
@@ -968,104 +912,6 @@ impl BatchCodec {
         self.extract_message_lanes(received.batch(), out);
     }
 
-    /// The scalar-fallback decode kernel for algebraic decoders: bit-sliced
-    /// syndrome accumulation screens the limbs exactly like the
-    /// column-matching kernel (same clean-limb short-circuit), and each
-    /// dirty lane — syndrome nonzero — is unpacked and decoded by the owned
-    /// scalar decoder, whose corrected codeword (or error flag) is written
-    /// back into the lane. Only dirty lanes ever allocate.
-    fn run_fallback(
-        &self,
-        fallback: &AlgebraicFallback,
-        received: &BitSlice64,
-        scratch: &mut BatchScratch,
-        out: &mut BatchDecoded,
-    ) {
-        let redundancy = self.syndrome_masks.len();
-        let words = received.words();
-        let tail = received.tail_mask();
-
-        self.syndrome_batch_into(received, &mut scratch.syndromes);
-        if scratch.gather.len() < redundancy {
-            scratch.gather.resize(redundancy, 0);
-        }
-
-        out.codewords.copy_from(received);
-        out.flagged.clear();
-        out.flagged.resize(words, 0);
-        out.corrected.clear();
-        out.corrected.resize(words, 0);
-
-        // Telemetry in locals, flushed once per call (no atomics per limb).
-        let mut clean_limbs = 0u64;
-        let mut dirty_lanes = 0u64;
-        let mut fallback_corrected = 0u64;
-        let mut fallback_flagged = 0u64;
-        let mut lanes_flagged = 0u64;
-        let mut lanes_matched = 0u64;
-
-        for w in 0..words {
-            let valid = if w + 1 == words { tail } else { u64::MAX };
-            let gather = &mut scratch.gather[..redundancy];
-            scratch.syndromes.gather_word(w, gather);
-
-            // Clean-limb short-circuit, identical to the column-matching
-            // kernel: all-zero syndromes need no per-lane work at all.
-            let mut dirty = or_reduce(gather) & valid;
-            if dirty == 0 {
-                clean_limbs += 1;
-                continue;
-            }
-
-            while dirty != 0 {
-                let bit = dirty & dirty.wrapping_neg();
-                let lane = w * 64 + bit.trailing_zeros() as usize;
-                dirty &= dirty - 1;
-                dirty_lanes += 1;
-
-                let word = received.extract(lane);
-                let decoded = (fallback.decode)(&word);
-                match decoded.outcome {
-                    DecodeOutcome::DetectedUncorrectable => {
-                        out.flagged[w] |= bit;
-                        fallback_flagged += 1;
-                    }
-                    _ => {
-                        let codeword = decoded
-                            .codeword
-                            .expect("non-detected decode must produce a codeword");
-                        for p in 0..self.n {
-                            if codeword.get(p) != word.get(p) {
-                                out.codewords.lane_mut(p)[w] ^= bit;
-                            }
-                        }
-                        out.corrected[w] |= bit;
-                        fallback_corrected += 1;
-                    }
-                }
-            }
-            lanes_matched += u64::from(out.corrected[w].count_ones());
-            lanes_flagged += u64::from(out.flagged[w].count_ones());
-        }
-
-        self.metrics.calls.inc();
-        self.metrics.limbs.add(words as u64);
-        self.metrics.clean_limbs.add(clean_limbs);
-        self.metrics.lanes_matched.add(lanes_matched);
-        self.metrics.lanes_flagged.add(lanes_flagged);
-        fallback.metrics.dirty_lanes.add(dirty_lanes);
-        fallback.metrics.fallback_corrected.add(fallback_corrected);
-        fallback.metrics.fallback_flagged.add(fallback_flagged);
-        fallback
-            .metrics
-            .locator_evals
-            .add(dirty_lanes * fallback.locator_evals_per_word);
-        fallback.metrics.kernel_selected.inc();
-        fallback.metrics.kernel_limbs.add(words as u64);
-
-        self.extract_message_lanes(received.batch(), out);
-    }
-
     /// Detection-only decode: computes the syndrome batch and classifies
     /// each message as clean (zero syndrome) or dirty (nonzero), **without
     /// running any correction kernel** — no column matching, no per-lane
@@ -1221,9 +1067,6 @@ impl BatchDecode for BatchCodec {
             }
             DecodeEngine::SlicedAlgebraic(engine) => {
                 self.run_sliced_engine(engine, received, scratch, out);
-            }
-            DecodeEngine::ScalarFallback(fallback) => {
-                self.run_fallback(fallback, received, scratch, out);
             }
             DecodeEngine::BitFlip(engine) => {
                 self.run_bit_flip_engine(engine, received, scratch, out);
@@ -1392,11 +1235,11 @@ mod tests {
         type ScalarEncode = Box<dyn Fn(&BitVec) -> BitVec>;
         let cases: Vec<(BatchCodec, ScalarEncode)> = vec![
             (BatchCodec::hamming74(), {
-                let c = Hamming74::new();
+                let c = ColumnCode::hamming74();
                 Box::new(move |m| c.encode(m))
             }),
             (BatchCodec::hamming84(), {
-                let c = Hamming84::new();
+                let c = ColumnCode::hamming84();
                 Box::new(move |m| c.encode(m))
             }),
             (BatchCodec::rm13(), {
@@ -1424,7 +1267,7 @@ mod tests {
 
     #[test]
     fn syndrome_batch_matches_scalar() {
-        let code = Hamming84::new();
+        let code = ColumnCode::hamming84();
         let codec = BatchCodec::hamming84();
         let mut rng = StdRng::seed_from_u64(11);
         let words: Vec<BitVec> = (0..100)
@@ -1730,7 +1573,7 @@ mod tests {
     #[test]
     fn secded_batch_matches_scalar_for_whole_family() {
         for m in 3..=6 {
-            let scalar = SecDed::new(m);
+            let scalar = ColumnCode::sec_ded(m);
             let codec = BatchCodec::sec_ded(m);
             let mut rng = StdRng::seed_from_u64(m as u64);
             let k = scalar.k();
@@ -1752,7 +1595,7 @@ mod tests {
     fn shortened_hamming_3832_works_in_batch_form() {
         // Exercises 6 syndrome lanes and 38-bit words through the ColumnFlip
         // builder.
-        let scalar = ecc::ShortenedHamming3832::new();
+        let scalar = ecc::ColumnCode::shortened_38_32();
         let codec = BatchCodec::new(&scalar);
         let mut rng = StdRng::seed_from_u64(5);
         let messages: Vec<BitVec> = (0..64)
@@ -1856,16 +1699,15 @@ mod tests {
     }
 
     #[test]
-    fn sliced_bch_engine_matches_the_scalar_fallback_engine() {
-        // The sliced-syndrome engine (default, with the weight-1 column
-        // prefilter) and the unpack-and-decode reference engine must agree
-        // on every output word, including all-dirty batches and
-        // beyond-capacity error weights — for every registry member.
+    fn sliced_bch_engine_matches_the_scalar_decoder() {
+        // The sliced-syndrome engine (with the weight-1 column prefilter)
+        // must agree with the scalar `Bch::decode` on every output word,
+        // including all-dirty batches and beyond-capacity error weights —
+        // for every registry member.
         let mut rng = StdRng::seed_from_u64(0x51_1CED);
         for spec in BchSpec::REGISTRY {
             let code = Bch::from_spec(spec);
             let sliced = BatchCodec::bch_spec(spec);
-            let reference = BatchCodec::with_scalar_fallback(&code, code.n());
             let (n, k) = (code.n(), code.k());
             for batch_size in [1usize, 63, 64, 65, 130, 257] {
                 let words: Vec<BitVec> = (0..batch_size)
@@ -1879,14 +1721,29 @@ mod tests {
                         w
                     })
                     .collect();
-                let batch = BitSlice64::pack(&words);
-                let a = sliced.decode_batch(&batch);
-                let b = reference.decode_batch(&batch);
-                let label = format!("{spec:?} batch {batch_size}");
-                assert_eq!(a.messages, b.messages, "{label}");
-                assert_eq!(a.codewords, b.codewords, "{label}");
-                assert_eq!(a.flagged, b.flagged, "{label}");
-                assert_eq!(a.corrected, b.corrected, "{label}");
+                let decoded = sliced.decode_batch(&BitSlice64::pack(&words));
+                for (i, word) in words.iter().enumerate() {
+                    let label = format!("{spec:?} batch {batch_size} word {i}");
+                    let scalar = code.decode(word);
+                    assert_eq!(
+                        decoded.is_flagged(i),
+                        scalar.outcome.error_flag(),
+                        "{label}"
+                    );
+                    assert_eq!(
+                        decoded.is_corrected(i),
+                        scalar.outcome.corrected(),
+                        "{label}"
+                    );
+                    if let (Some(codeword), Some(message)) = (scalar.codeword, scalar.message) {
+                        assert_eq!(decoded.codewords.extract(i), codeword, "{label}");
+                        assert_eq!(decoded.messages.extract(i), message, "{label}");
+                    } else {
+                        // Flagged lanes keep the received word and a zero message.
+                        assert_eq!(decoded.codewords.extract(i), *word, "{label}");
+                        assert!(decoded.messages.extract(i).is_zero(), "{label}");
+                    }
+                }
             }
         }
     }
@@ -2105,10 +1962,6 @@ mod tests {
         assert_eq!(BatchCodec::bch_63_51().selected_kernel_name(4096), "sliced");
         assert_eq!(BatchCodec::ldpc().selected_kernel_name(4096), "bit-flip");
         assert_eq!(
-            BatchCodec::with_scalar_fallback(&Bch::bch_31_16(), 31).selected_kernel_name(64),
-            "scalar-fallback"
-        );
-        assert_eq!(
             BatchCodec::hamming74()
                 .with_kernel(KernelKind::ScalarU64)
                 .selected_kernel_name(4096),
@@ -2121,7 +1974,7 @@ mod tests {
         // n - k = 21 > 20: impossible under the old syndrome-action table
         // (its 2^21-entry build was rejected); the column-matching engine
         // compiles 85 entries and decodes exactly like the scalar path.
-        let scalar = ShortenedHamming::wide_85_64();
+        let scalar = ColumnCode::wide_85_64();
         let codec = BatchCodec::wide_hamming_85_64();
         assert_eq!((codec.n(), codec.k()), (85, 64));
         let mut rng = StdRng::seed_from_u64(0x8564);

@@ -51,7 +51,7 @@ const SECDED_72_64_DECODE_FLOOR: f64 = 5.0e7;
 /// this input carries a distance-1 coset, so the prefilter retires it with
 /// an XNOR-AND chain and no lane ever reaches Berlekamp–Massey); the
 /// previous sliced engine without the prefilter sustained ≈ 3.3–4.5e6 on the
-/// same machine (its committed floor was 1.5e6), and the pure
+/// same machine (its committed floor was 1.5e6), and the since-retired
 /// scalar-fallback engine before that ≈ 4e5. The floor is roughly half the
 /// low end of the measurement band — more than 5× the *old* band's ceiling,
 /// so it catches losing the prefilter, not just a fall back to per-lane
@@ -127,11 +127,10 @@ impl ActionTableCodec {
     /// Builds the baseline, or `None` when the table would exceed 2^20
     /// entries (the old `MAX_REDUNDANCY` limit). Coset invariance is all the
     /// table needs, so algebraic decoders qualify too — tabulating their
-    /// 2^(n-k) syndrome space is exactly the cost the scalar-fallback engine
-    /// avoids, which makes this a fair old-world baseline for them.
-    fn try_new<C: BlockCode + HardDecoder + Clone + Send + Sync + 'static>(
-        code: &C,
-    ) -> Option<Self> {
+    /// 2^(n-k) syndrome space is exactly the cost the sliced engine avoids,
+    /// which makes this a fair old-world baseline for them. `inner` is the
+    /// code's shipping codec; the baseline borrows only its syndromes.
+    fn try_new<C: BlockCode + HardDecoder>(code: &C, inner: BatchCodec) -> Option<Self> {
         let n = code.n();
         let redundancy = n - code.k();
         if redundancy > 20 {
@@ -176,10 +175,7 @@ impl ActionTableCodec {
             redundancy,
             actions,
             extract_masks,
-            inner: match code.syndrome_class() {
-                ecc::SyndromeClass::Algebraic => BatchCodec::with_scalar_fallback(code, code.n()),
-                _ => BatchCodec::new(code),
-            },
+            inner,
         })
     }
 
@@ -285,8 +281,8 @@ fn build_case<C: BlockCode + HardDecoder + Clone + Send + Sync + 'static>(
     }
     Case {
         slug,
+        baseline: ActionTableCodec::try_new(code, codec.clone()),
         codec,
-        baseline: ActionTableCodec::try_new(code),
         received,
         link_kind,
     }
@@ -298,14 +294,14 @@ fn cases() -> Vec<Case> {
     vec![
         build_case(
             "hamming_7_4",
-            &ecc::Hamming74::new(),
+            &ecc::ColumnCode::hamming74(),
             BatchCodec::hamming74(),
             Some(EncoderKind::Hamming74),
             &mut rng,
         ),
         build_case(
             "hamming_8_4",
-            &ecc::Hamming84::new(),
+            &ecc::ColumnCode::hamming84(),
             BatchCodec::hamming84(),
             Some(EncoderKind::Hamming84),
             &mut rng,
@@ -319,28 +315,28 @@ fn cases() -> Vec<Case> {
         ),
         build_case(
             "secded_13_8",
-            &ecc::SecDed::new(3),
+            &ecc::ColumnCode::sec_ded(3),
             BatchCodec::sec_ded(3),
             None,
             &mut rng,
         ),
         build_case(
             "secded_39_32",
-            &ecc::SecDed::new(5),
+            &ecc::ColumnCode::sec_ded(5),
             BatchCodec::sec_ded(5),
             None,
             &mut rng,
         ),
         build_case(
             "secded_72_64",
-            &ecc::SecDed::new(6),
+            &ecc::ColumnCode::sec_ded(6),
             BatchCodec::sec_ded(6),
             Some(EncoderKind::SecDed(6)),
             &mut rng,
         ),
         build_case(
             "shamming_85_64",
-            &ecc::ShortenedHamming::wide_85_64(),
+            &ecc::ColumnCode::wide_85_64(),
             BatchCodec::wide_hamming_85_64(),
             Some(EncoderKind::WideHamming8564),
             &mut rng,
@@ -532,7 +528,7 @@ fn render_json(measurements: &[Measurement], fingerprint: &Fingerprint) -> Strin
 /// messages/second, leaving recording enabled.
 fn telemetry_overhead(quick: bool) -> (f64, f64) {
     let mut rng = StdRng::seed_from_u64(SEED);
-    let code = ecc::SecDed::new(6);
+    let code = ecc::ColumnCode::sec_ded(6);
     let codec = BatchCodec::new(&code);
     let messages: Vec<BitVec> = (0..LANES)
         .map(|_| BitVec::from_u64(64, rng.random::<u64>()))
@@ -667,7 +663,7 @@ fn bench_batch_decode(c: &mut Criterion) {
     }
 
     // Criterion kernels for the flagship codes.
-    let code = ecc::SecDed::new(6);
+    let code = ecc::ColumnCode::sec_ded(6);
     let codec = BatchCodec::new(&code);
     let mut rng = StdRng::seed_from_u64(2);
     let messages: Vec<BitVec> = (0..LANES)
@@ -686,13 +682,13 @@ fn bench_batch_decode(c: &mut Criterion) {
             decoded.corrected_count()
         })
     });
-    if let Some(baseline) = ActionTableCodec::try_new(&code) {
+    if let Some(baseline) = ActionTableCodec::try_new(&code, codec.clone()) {
         c.bench_function("batch_decode/secded_72_64_action_table_4096", |b| {
             b.iter(|| black_box(baseline.decode_batch(&received)).corrected_count())
         });
     }
 
-    let wide = ecc::ShortenedHamming::wide_85_64();
+    let wide = ecc::ColumnCode::wide_85_64();
     let wide_codec = BatchCodec::new(&wide);
     let wide_messages: Vec<BitVec> = (0..LANES)
         .map(|_| BitVec::from_u64(64, rng.random::<u64>()))

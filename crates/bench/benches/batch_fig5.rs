@@ -10,7 +10,7 @@
 use bench::{banner, banner_with_fingerprint, Fingerprint};
 use criterion::{criterion_group, criterion_main, Criterion};
 use cryolink::{BatchLink, BatchLinkContext, ChannelConfig, CryoLink, Fig5Experiment};
-use ecc::{BatchDecode, BatchEncode, BlockCode, Hamming84, HardDecoder};
+use ecc::{BatchDecode, BatchEncode, BlockCode, ColumnCode, HardDecoder};
 use encoders::{EncoderDesign, EncoderKind};
 use gf2::{BitSlice64, BitVec};
 use rand::rngs::StdRng;
@@ -36,7 +36,7 @@ fn throughput<F: FnMut() -> usize>(mut f: F) -> f64 {
     (messages * reps) as f64 / elapsed
 }
 
-fn scalar_encode_decode(code: &Hamming84, messages: &[BitVec]) -> usize {
+fn scalar_encode_decode(code: &ColumnCode, messages: &[BitVec]) -> usize {
     for msg in messages {
         let cw = code.encode(msg);
         let mut r = cw.clone();
@@ -64,7 +64,7 @@ fn print_comparison() {
         "sfq-batch: scalar vs bit-sliced encode+decode throughput (Hamming(8,4))",
         &Fingerprint::new("hamming(8,4)", 0, 4096, 42, 1),
     );
-    let code = Hamming84::new();
+    let code = ColumnCode::hamming84();
     let codec = BatchCodec::hamming84();
     let mut rng = StdRng::seed_from_u64(42);
 
@@ -120,7 +120,7 @@ fn print_comparison() {
 fn bench_batch_fig5(c: &mut Criterion) {
     print_comparison();
 
-    let code = Hamming84::new();
+    let code = ColumnCode::hamming84();
     let codec = BatchCodec::hamming84();
     let mut rng = StdRng::seed_from_u64(42);
     let messages: Vec<BitVec> = (0..64)

@@ -3,7 +3,7 @@
 
 use bench::banner;
 use criterion::{criterion_group, criterion_main, Criterion};
-use ecc::{BatchDecode, BatchEncode, BlockCode, HardDecoder, SecDed};
+use ecc::{BatchDecode, BatchEncode, BlockCode, ColumnCode, HardDecoder};
 use encoders::{EncoderDesign, EncoderKind};
 use gf2::{BitSlice64, BitVec};
 use rand::rngs::StdRng;
@@ -15,7 +15,7 @@ const LANES: usize = 4096;
 
 fn print_throughput_summary() {
     banner("SEC-DED(72,64): scalar vs batch codec throughput");
-    let code = SecDed::new(6);
+    let code = ColumnCode::sec_ded(6);
     let codec = BatchCodec::sec_ded(6);
     let mut rng = StdRng::seed_from_u64(1);
     let messages: Vec<BitVec> = (0..LANES)
@@ -43,7 +43,7 @@ fn bench_secded(c: &mut Criterion) {
     print_throughput_summary();
 
     c.bench_function("secded/construct_72_64", |b| {
-        b.iter(|| black_box(SecDed::new(6)))
+        b.iter(|| black_box(ColumnCode::sec_ded(6)))
     });
     c.bench_function("secded/batch_codec_build", |b| {
         b.iter(|| black_box(BatchCodec::sec_ded(6)))
@@ -52,7 +52,7 @@ fn bench_secded(c: &mut Criterion) {
         b.iter(|| black_box(EncoderDesign::build(EncoderKind::SecDed(6))))
     });
 
-    let code = SecDed::new(6);
+    let code = ColumnCode::sec_ded(6);
     let codec = BatchCodec::sec_ded(6);
     let mut rng = StdRng::seed_from_u64(2);
     let messages: Vec<BitVec> = (0..LANES)

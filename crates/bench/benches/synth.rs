@@ -123,7 +123,7 @@ fn bench_synth(c: &mut Criterion) {
     std::fs::write(&out, &json).expect("write BENCH_synth.json");
     println!("wrote {} ({} bytes)", out.display(), json.len());
 
-    let code = ecc::SecDed::new(6);
+    let code = ecc::ColumnCode::sec_ded(6);
     c.bench_function("synth/pipeline_secded_72_64", |b| {
         b.iter(|| {
             black_box(sfq_netlist::synth::synthesize_encoder(

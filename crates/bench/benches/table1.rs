@@ -6,7 +6,7 @@
 use bench::banner;
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecc::analysis::{paper_table1, table1_row, CodeAnalysis, DecodingPolicy};
-use ecc::{Hamming74, Hamming84, Rm13};
+use ecc::{ColumnCode, Rm13};
 use std::hint::black_box;
 
 fn print_table1() {
@@ -22,8 +22,8 @@ fn print_table1() {
         "weight-3 caught"
     );
     let rows = vec![
-        table1_row(&Hamming74::new()),
-        table1_row(&Hamming84::new()),
+        table1_row(&ColumnCode::hamming74()),
+        table1_row(&ColumnCode::hamming84()),
         table1_row(&Rm13::new()),
     ];
     for row in &rows {
@@ -55,7 +55,7 @@ fn print_table1() {
 
 fn bench_table1(c: &mut Criterion) {
     print_table1();
-    let code = Hamming84::new();
+    let code = ColumnCode::hamming84();
     c.bench_function("table1/exhaustive_analysis_hamming84", |b| {
         b.iter(|| {
             black_box(CodeAnalysis::exhaustive(

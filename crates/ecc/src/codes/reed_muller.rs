@@ -147,7 +147,7 @@ impl BlockCode for ReedMuller {
 ///
 /// The length of `values` must be a power of two. This is the "Green machine"
 /// decoder kernel for first-order Reed–Muller codes (Be'ery & Snyders,
-/// reference [34] of the paper).
+/// reference 34 of the paper).
 pub fn fast_hadamard_transform(values: &mut [f64]) {
     let n = values.len();
     assert!(n.is_power_of_two(), "FHT length must be a power of two");
@@ -500,9 +500,9 @@ mod tests {
 
     #[test]
     fn rm13_and_hamming84_are_distinct_but_equivalent_weight_distributions() {
-        use crate::codes::hamming::Hamming84;
+        use crate::ColumnCode;
         let rm = Rm13::new();
-        let h84 = Hamming84::new();
+        let h84 = ColumnCode::hamming84();
         let weight_hist = |code: &dyn BlockCode| {
             let mut hist = [0usize; 9];
             for (_, cw) in code.codebook() {

@@ -7,6 +7,11 @@
 //! families they belong to, and the (38,32) linear block code used by the
 //! prior-art SFQ encoder the paper compares against.
 //!
+//! Every Hamming and SEC-DED code is one [`ColumnCode`], built by a named
+//! constructor that reproduces the code's exact matrices and decoded by the
+//! shared "syndrome equals a column of `H`" rule; the multi-error [`Bch`] and
+//! [`Ldpc`] codes and the Reed–Muller family have decoders of their own.
+//!
 //! Besides encoding and decoding, the crate provides the *exhaustive
 //! error-pattern analysis* that generates Table I of the paper: for every
 //! code and every error weight it classifies each error pattern as corrected,
@@ -16,11 +21,10 @@
 //! # Quick start
 //!
 //! ```
-//! use ecc::codes::hamming::Hamming84;
-//! use ecc::{BlockCode, HardDecoder};
+//! use ecc::{BlockCode, ColumnCode, HardDecoder};
 //! use gf2::BitVec;
 //!
-//! let code = Hamming84::new();
+//! let code = ColumnCode::hamming84();
 //! // The stimulus used in Fig. 3 of the paper: message 1011 -> codeword 01100110.
 //! let msg = BitVec::from_str01("1011");
 //! let cw = code.encode(&msg);
@@ -48,12 +52,11 @@ pub use algebraic::{AlgebraicAction, AlgebraicDecode, SlicedSyndromePlan};
 pub use analysis::{CodeAnalysis, DecodingPolicy, ErrorPatternStats};
 pub use batch::{BatchDecode, BatchDecoded, BatchEncode, BatchScratch};
 pub use codes::bch::{Bch, BchSpec};
-pub use codes::hamming::ShortenedHamming;
-pub use codes::hamming::{Hamming74, Hamming84, HammingCode, ShortenedHamming3832};
+pub use codes::hamming::ColumnCode;
 pub use codes::ldpc::Ldpc;
 pub use codes::reed_muller::{ReedMuller, Rm13};
 pub use codes::repetition::Repetition;
-pub use codes::sec_ded::{SecDed, SECDED_MAX_M, SECDED_MIN_M};
+pub use codes::sec_ded::{SECDED_MAX_M, SECDED_MIN_M};
 pub use codes::uncoded::Uncoded;
 pub use decoder::{DecodeOutcome, Decoded, SyndromeClass};
 pub use iterative::{BitFlipPlan, IterativeDecode};
@@ -264,14 +267,14 @@ pub fn validate_code_matrices(g: &BitMat, h: &BitMat) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codes::hamming::{Hamming74, Hamming84};
     use crate::codes::reed_muller::Rm13;
+    use crate::ColumnCode;
 
     #[test]
     fn paper_codes_have_expected_parameters() {
-        let h74 = Hamming74::new();
+        let h74 = ColumnCode::hamming74();
         assert_eq!((h74.n(), h74.k(), h74.min_distance()), (7, 4, 3));
-        let h84 = Hamming84::new();
+        let h84 = ColumnCode::hamming84();
         assert_eq!((h84.n(), h84.k(), h84.min_distance()), (8, 4, 4));
         let rm = Rm13::new();
         assert_eq!((rm.n(), rm.k(), rm.min_distance()), (8, 4, 4));
@@ -279,15 +282,15 @@ mod tests {
 
     #[test]
     fn rate_matches_k_over_n() {
-        let h84 = Hamming84::new();
+        let h84 = ColumnCode::hamming84();
         assert!((h84.rate() - 0.5).abs() < 1e-12);
-        let h74 = Hamming74::new();
+        let h74 = ColumnCode::hamming74();
         assert!((h74.rate() - 4.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn codebook_size_is_two_to_k() {
-        let h74 = Hamming74::new();
+        let h74 = ColumnCode::hamming74();
         let cb = h74.codebook();
         assert_eq!(cb.len(), 16);
         // All codewords distinct.
@@ -299,7 +302,7 @@ mod tests {
 
     #[test]
     fn message_of_inverts_encode() {
-        let h84 = Hamming84::new();
+        let h84 = ColumnCode::hamming84();
         for m in 0u64..16 {
             let msg = BitVec::from_u64(4, m);
             let cw = h84.encode(&msg);
@@ -313,15 +316,15 @@ mod tests {
 
     #[test]
     fn validate_code_matrices_accepts_consistent_codes() {
-        let h84 = Hamming84::new();
+        let h84 = ColumnCode::hamming84();
         validate_code_matrices(h84.generator(), h84.parity_check());
     }
 
     #[test]
     fn generator_right_inverse_recovers_messages() {
         for g in [
-            Hamming84::new().generator().clone(),
-            Hamming74::new().generator().clone(),
+            ColumnCode::hamming84().generator().clone(),
+            ColumnCode::hamming74().generator().clone(),
             Rm13::new().generator().clone(),
         ] {
             let (pivots, transform) = generator_right_inverse(&g);
@@ -342,11 +345,11 @@ mod tests {
 
     #[test]
     fn default_message_of_handles_k_32_without_brute_force() {
-        // A wrapper that hides the systematic override of the (38,32) code so
-        // the trait's default Gaussian-elimination path is exercised at a
-        // dimension (2^32 messages) the old brute-force search could never
-        // enumerate.
-        struct Opaque(crate::ShortenedHamming3832);
+        // A wrapper that hides the cached-extractor override of the (38,32)
+        // code so the trait's default Gaussian-elimination path is exercised
+        // at a dimension (2^32 messages) the old brute-force search could
+        // never enumerate.
+        struct Opaque(ColumnCode);
         impl BlockCode for Opaque {
             fn name(&self) -> &str {
                 "opaque(38,32)"
@@ -364,7 +367,7 @@ mod tests {
                 self.0.parity_check()
             }
         }
-        let code = Opaque(crate::ShortenedHamming3832::new());
+        let code = Opaque(ColumnCode::shortened_38_32());
         for value in [0u64, 1, 0xDEAD_BEEF, 0xFFFF_FFFF, 0x1357_9BDF] {
             let msg = BitVec::from_u64(32, value);
             let cw = code.0.encode(&msg);

@@ -46,10 +46,7 @@ pub mod table2;
 pub use ecc::BchSpec;
 pub use table2::{catalog_table_rows, paper_table2, table2_row_for, table2_rows, Table2Row};
 
-use ecc::{
-    Bch, BlockCode, Decoded, Hamming74, Hamming84, HardDecoder, Ldpc, Rm13, SecDed,
-    ShortenedHamming, Uncoded,
-};
+use ecc::{Bch, BlockCode, ColumnCode, Decoded, HardDecoder, Ldpc, Rm13, Uncoded};
 use gf2::{BitMat, BitVec};
 use serde::{Deserialize, Serialize};
 use sfq_cells::CellLibrary;
@@ -231,11 +228,11 @@ impl EncoderKind {
 fn reference_code(kind: EncoderKind) -> ReferenceCode {
     match kind {
         EncoderKind::None => ReferenceCode::None(Uncoded::new(4)),
-        EncoderKind::Hamming74 => ReferenceCode::Hamming74(Hamming74::new()),
-        EncoderKind::Hamming84 => ReferenceCode::Hamming84(Hamming84::new()),
+        EncoderKind::Hamming74 => ReferenceCode::Column(ColumnCode::hamming74()),
+        EncoderKind::Hamming84 => ReferenceCode::Column(ColumnCode::hamming84()),
         EncoderKind::Rm13 => ReferenceCode::Rm13(Rm13::new()),
-        EncoderKind::SecDed(m) => ReferenceCode::SecDed(SecDed::new(usize::from(m))),
-        EncoderKind::WideHamming8564 => ReferenceCode::WideHamming(ShortenedHamming::wide_85_64()),
+        EncoderKind::SecDed(m) => ReferenceCode::Column(ColumnCode::sec_ded(usize::from(m))),
+        EncoderKind::WideHamming8564 => ReferenceCode::Column(ColumnCode::wide_85_64()),
         EncoderKind::Bch(spec) => ReferenceCode::Bch(Bch::from_spec(spec)),
         EncoderKind::Ldpc => ReferenceCode::Ldpc(Ldpc::gallager_60_32()),
     }
@@ -244,11 +241,8 @@ fn reference_code(kind: EncoderKind) -> ReferenceCode {
 /// Reference code + decoder behind an encoder circuit.
 enum ReferenceCode {
     None(Uncoded),
-    Hamming74(Hamming74),
-    Hamming84(Hamming84),
+    Column(ColumnCode),
     Rm13(Rm13),
-    SecDed(SecDed),
-    WideHamming(ShortenedHamming),
     Bch(Bch),
     Ldpc(Ldpc),
 }
@@ -257,11 +251,8 @@ impl ReferenceCode {
     fn encode(&self, message: &BitVec) -> BitVec {
         match self {
             ReferenceCode::None(c) => c.encode(message),
-            ReferenceCode::Hamming74(c) => c.encode(message),
-            ReferenceCode::Hamming84(c) => c.encode(message),
+            ReferenceCode::Column(c) => c.encode(message),
             ReferenceCode::Rm13(c) => c.encode(message),
-            ReferenceCode::SecDed(c) => c.encode(message),
-            ReferenceCode::WideHamming(c) => c.encode(message),
             ReferenceCode::Bch(c) => c.encode(message),
             ReferenceCode::Ldpc(c) => c.encode(message),
         }
@@ -270,14 +261,11 @@ impl ReferenceCode {
     fn decode(&self, received: &BitVec) -> Decoded {
         match self {
             ReferenceCode::None(c) => c.decode(received),
-            ReferenceCode::Hamming74(c) => c.decode(received),
-            ReferenceCode::Hamming84(c) => c.decode(received),
+            ReferenceCode::Column(c) => c.decode(received),
             // The paper credits RM(1,3) with correcting certain 2-bit error
             // patterns (Table I best case); that corresponds to the FHT
             // decoder with spectral tie-breaking.
             ReferenceCode::Rm13(c) => c.decode_best_effort(received),
-            ReferenceCode::SecDed(c) => c.decode(received),
-            ReferenceCode::WideHamming(c) => c.decode(received),
             ReferenceCode::Bch(c) => c.decode(received),
             ReferenceCode::Ldpc(c) => c.decode(received),
         }
@@ -286,11 +274,8 @@ impl ReferenceCode {
     fn n(&self) -> usize {
         match self {
             ReferenceCode::None(c) => c.n(),
-            ReferenceCode::Hamming74(c) => c.n(),
-            ReferenceCode::Hamming84(c) => c.n(),
+            ReferenceCode::Column(c) => c.n(),
             ReferenceCode::Rm13(c) => c.n(),
-            ReferenceCode::SecDed(c) => c.n(),
-            ReferenceCode::WideHamming(c) => c.n(),
             ReferenceCode::Bch(c) => c.n(),
             ReferenceCode::Ldpc(c) => c.n(),
         }
@@ -299,11 +284,8 @@ impl ReferenceCode {
     fn k(&self) -> usize {
         match self {
             ReferenceCode::None(c) => c.k(),
-            ReferenceCode::Hamming74(c) => c.k(),
-            ReferenceCode::Hamming84(c) => c.k(),
+            ReferenceCode::Column(c) => c.k(),
             ReferenceCode::Rm13(c) => c.k(),
-            ReferenceCode::SecDed(c) => c.k(),
-            ReferenceCode::WideHamming(c) => c.k(),
             ReferenceCode::Bch(c) => c.k(),
             ReferenceCode::Ldpc(c) => c.k(),
         }
@@ -312,11 +294,8 @@ impl ReferenceCode {
     fn generator(&self) -> &BitMat {
         match self {
             ReferenceCode::None(c) => c.generator(),
-            ReferenceCode::Hamming74(c) => c.generator(),
-            ReferenceCode::Hamming84(c) => c.generator(),
+            ReferenceCode::Column(c) => c.generator(),
             ReferenceCode::Rm13(c) => c.generator(),
-            ReferenceCode::SecDed(c) => c.generator(),
-            ReferenceCode::WideHamming(c) => c.generator(),
             ReferenceCode::Bch(c) => c.generator(),
             ReferenceCode::Ldpc(c) => c.generator(),
         }

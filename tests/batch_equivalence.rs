@@ -14,9 +14,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sfq_ecc::batch::{BatchCodec, KernelKind};
 use sfq_ecc::ecc::{
-    validate_code_matrices, BatchDecode, BatchEncode, BchSpec, BlockCode, DecodeOutcome, Decoded,
-    Hamming74, Hamming84, HardDecoder, Repetition, Rm13, SecDed, ShortenedHamming, SyndromeClass,
-    Uncoded,
+    validate_code_matrices, BatchDecode, BatchEncode, BchSpec, BlockCode, ColumnCode,
+    DecodeOutcome, Decoded, HardDecoder, Repetition, Rm13, SyndromeClass, Uncoded,
 };
 use sfq_ecc::gf2::{
     syndrome_bytes, syndrome_bytes_inverse, BitMat, BitSlice64, BitVec, WeightPatterns,
@@ -105,12 +104,12 @@ fn assert_batch_matches_scalar<C: BlockCode + HardDecoder>(code: &C) {
 
 #[test]
 fn hamming74_batch_is_bit_exact_on_all_low_weight_patterns() {
-    assert_batch_matches_scalar(&Hamming74::new());
+    assert_batch_matches_scalar(&ColumnCode::hamming74());
 }
 
 #[test]
 fn hamming84_batch_is_bit_exact_on_all_low_weight_patterns() {
-    assert_batch_matches_scalar(&Hamming84::new());
+    assert_batch_matches_scalar(&ColumnCode::hamming84());
 }
 
 #[test]
@@ -133,12 +132,12 @@ fn uncoded_batch_is_bit_exact_on_all_low_weight_patterns() {
 fn secded_13_8_batch_is_bit_exact_on_all_low_weight_patterns() {
     // The smallest family member is exhaustively tractable: all 256 messages
     // x all 0/1/2-bit patterns of the 13-bit word.
-    assert_batch_matches_scalar(&SecDed::new(3));
+    assert_batch_matches_scalar(&ColumnCode::sec_ded(3));
 }
 
 /// Compares batch and scalar decode on a set of received words, word for
 /// word, for a code too wide for `to_u64`-based helpers.
-fn assert_wide_batch_matches_scalar(code: &SecDed, received: &[BitVec]) {
+fn assert_wide_batch_matches_scalar(code: &ColumnCode, received: &[BitVec]) {
     let codec = BatchCodec::new(code);
     let batch = BitSlice64::pack(received);
     let syndromes = codec.syndrome_batch(&batch);
@@ -176,7 +175,7 @@ fn assert_wide_batch_matches_scalar(code: &SecDed, received: &[BitVec]) {
     }
 }
 
-fn seeded_messages(code: &SecDed, count: usize, seed: u64) -> Vec<BitVec> {
+fn seeded_messages(code: &ColumnCode, count: usize, seed: u64) -> Vec<BitVec> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..count)
         .map(|_| BitVec::from_u64(code.k(), rng.random::<u64>()))
@@ -188,7 +187,7 @@ fn seeded_messages(code: &SecDed, count: usize, seed: u64) -> Vec<BitVec> {
 /// words pass through, single errors are corrected back to the message).
 #[test]
 fn secded_72_64_batch_is_bit_exact_on_all_zero_and_one_bit_patterns() {
-    let code = SecDed::new(6);
+    let code = ColumnCode::sec_ded(6);
     let mut received = Vec::new();
     for msg in seeded_messages(&code, 6, 0x5ECD_ED01) {
         let cw = code.encode(&msg);
@@ -209,7 +208,7 @@ fn secded_72_64_batch_is_bit_exact_on_all_zero_and_one_bit_patterns() {
 /// reported `DetectedUncorrectable` by both paths.
 #[test]
 fn secded_72_64_flags_every_two_bit_pattern() {
-    let code = SecDed::new(6);
+    let code = ColumnCode::sec_ded(6);
     let codec = BatchCodec::new(&code);
     for (w, msg) in seeded_messages(&code, 5, 0x5ECD_ED02).iter().enumerate() {
         let cw = code.encode(msg);
@@ -246,7 +245,7 @@ fn secded_72_64_flags_every_two_bit_pattern() {
 #[test]
 fn secded_family_random_words_agree_with_scalar_decode() {
     for (m, seed) in [(3usize, 301u64), (4, 302), (5, 303), (6, 304)] {
-        let code = SecDed::new(m);
+        let code = ColumnCode::sec_ded(m);
         let mut rng = StdRng::seed_from_u64(seed);
         let words: Vec<BitVec> = (0..200)
             .map(|_| {
@@ -266,8 +265,8 @@ fn assert_batch_matches_scalar_on<C: BlockCode + HardDecoder>(code: &C, received
 }
 
 /// Word-for-word scalar-vs-batch agreement through a caller-built codec
-/// (algebraic codes need [`BatchCodec::with_scalar_fallback`] instead of
-/// the plain constructor).
+/// (algebraic codes need [`BatchCodec::bch_spec`] instead of the plain
+/// constructor).
 fn assert_codec_matches_scalar_on<C: BlockCode + HardDecoder>(
     codec: &BatchCodec,
     code: &C,
@@ -327,7 +326,7 @@ fn assert_codec_matches_scalar_on<C: BlockCode + HardDecoder>(
 /// action-table engine rejected outright (`n - k = 21 > 20`).
 #[test]
 fn shortened_hamming_85_64_batch_is_bit_exact_on_all_zero_and_one_bit_patterns() {
-    let code = ShortenedHamming::wide_85_64();
+    let code = ColumnCode::wide_85_64();
     assert_eq!(code.n() - code.k(), 21, "the point is r > 20");
     let mut rng = StdRng::seed_from_u64(0x8564_0101);
     let mut received = Vec::new();
@@ -350,7 +349,7 @@ fn shortened_hamming_85_64_batch_is_bit_exact_on_all_zero_and_one_bit_patterns()
 /// must agree word for word.
 #[test]
 fn shortened_hamming_85_64_batch_matches_scalar_on_two_bit_patterns() {
-    let code = ShortenedHamming::wide_85_64();
+    let code = ColumnCode::wide_85_64();
     let mut rng = StdRng::seed_from_u64(0x8564_0202);
     let msg = BitVec::from_u64(64, rng.random::<u64>());
     let cw = code.encode(&msg);
@@ -371,7 +370,7 @@ fn shortened_hamming_85_64_batch_matches_scalar_on_two_bit_patterns() {
 /// weights.
 #[test]
 fn shortened_hamming_85_64_random_words_agree_with_scalar_decode() {
-    let code = ShortenedHamming::wide_85_64();
+    let code = ColumnCode::wide_85_64();
     let mut rng = StdRng::seed_from_u64(0x8564_0303);
     let words: Vec<BitVec> = (0..300)
         .map(|_| {
@@ -827,26 +826,24 @@ where
 /// layer pick kernels freely.
 #[test]
 fn every_catalog_code_decodes_identically_under_every_forced_kernel() {
-    assert_every_kernel_matches_the_scalar_walk(&Hamming74::new(), 0xD15_0001);
-    assert_every_kernel_matches_the_scalar_walk(&Hamming84::new(), 0xD15_0002);
+    assert_every_kernel_matches_the_scalar_walk(&ColumnCode::hamming74(), 0xD15_0001);
+    assert_every_kernel_matches_the_scalar_walk(&ColumnCode::hamming84(), 0xD15_0002);
     assert_every_kernel_matches_the_scalar_walk(&Rm13::new(), 0xD15_0003);
     assert_every_kernel_matches_the_scalar_walk(&Repetition::new(4, 2), 0xD15_0004);
     assert_every_kernel_matches_the_scalar_walk(&Repetition::new(2, 3), 0xD15_0005);
     assert_every_kernel_matches_the_scalar_walk(&Uncoded::new(4), 0xD15_0006);
     for m in 3..=6 {
-        assert_every_kernel_matches_the_scalar_walk(&SecDed::new(m), 0xD15_0010 + m as u64);
+        assert_every_kernel_matches_the_scalar_walk(&ColumnCode::sec_ded(m), 0xD15_0010 + m as u64);
     }
-    assert_every_kernel_matches_the_scalar_walk(&ShortenedHamming::wide_85_64(), 0xD15_0020);
+    assert_every_kernel_matches_the_scalar_walk(&ColumnCode::wide_85_64(), 0xD15_0020);
 }
 
 /// The kernel override must not change the algebraic engine's output: for
-/// every BCH registry member, the sliced codec produces bit-identical
-/// results under every forced kernel, and all of them agree with the
-/// scalar-fallback engine (which re-derives each dirty lane from scratch
-/// through the `ecc` decoder). Error weights run up to `radius + 1`, so the
-/// flag path of each member is exercised too.
+/// every BCH registry member, the sliced codec under every forced kernel
+/// agrees word for word with the scalar `Bch::decode`. Error weights run up
+/// to `radius + 1`, so the flag path of each member is exercised too.
 #[test]
-fn bch_sliced_engines_are_kernel_invariant_and_match_the_scalar_fallback() {
+fn bch_sliced_engines_are_kernel_invariant_and_match_the_scalar_decoder() {
     for (s, spec) in BchSpec::REGISTRY.into_iter().enumerate() {
         let code = sfq_ecc::ecc::Bch::from_spec(spec);
         let mut rng = StdRng::seed_from_u64(0xBC43_2001 + s as u64);
@@ -863,20 +860,9 @@ fn bch_sliced_engines_are_kernel_invariant_and_match_the_scalar_fallback() {
                     w
                 })
                 .collect();
-            let batch = BitSlice64::pack(&words);
-            let reference = BatchCodec::with_scalar_fallback(&code, code.n()).decode_batch(&batch);
             for kind in [KernelKind::ScalarU64].into_iter().chain(FORCED_KERNELS) {
-                let decoded = BatchCodec::bch_spec(spec)
-                    .with_kernel(kind)
-                    .decode_batch(&batch);
-                let label = format!("{} {kind:?} batch {batch_size}", spec.name());
-                assert_eq!(decoded.messages, reference.messages, "{label}: messages");
-                assert_eq!(decoded.codewords, reference.codewords, "{label}: codewords");
-                assert_eq!(decoded.flagged, reference.flagged, "{label}: flag mask");
-                assert_eq!(
-                    decoded.corrected, reference.corrected,
-                    "{label}: correction mask"
-                );
+                let codec = BatchCodec::bch_spec(spec).with_kernel(kind);
+                assert_codec_matches_scalar_on(&codec, &code, &words);
             }
         }
     }
@@ -981,8 +967,8 @@ fn batch_encode_matches_scalar_encode_for_every_message() {
             assert_eq!(encoded.extract(i), code.encode(msg), "{}", code.name());
         }
     }
-    check(&Hamming74::new());
-    check(&Hamming84::new());
+    check(&ColumnCode::hamming74());
+    check(&ColumnCode::hamming84());
     check(&Rm13::new());
     check(&Repetition::new(4, 2));
     check(&Uncoded::new(4));
@@ -1018,8 +1004,8 @@ fn randomized_multi_limb_batches_agree_with_scalar_decode() {
             }
         }
     }
-    check(&Hamming74::new(), 101);
-    check(&Hamming84::new(), 102);
+    check(&ColumnCode::hamming74(), 101);
+    check(&ColumnCode::hamming84(), 102);
     check(&Rm13::new(), 103);
     check(&Repetition::new(4, 2), 104);
     check(&Uncoded::new(4), 105);

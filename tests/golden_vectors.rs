@@ -25,10 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use sfq_ecc::cells::CellLibrary;
-use sfq_ecc::ecc::{
-    Bch, BchSpec, BlockCode, Hamming74, Hamming84, HardDecoder, Ldpc, Rm13, SecDed,
-    ShortenedHamming, Uncoded,
-};
+use sfq_ecc::ecc::{Bch, BchSpec, BlockCode, ColumnCode, HardDecoder, Ldpc, Rm13, Uncoded};
 use sfq_ecc::gf2::BitVec;
 use std::path::PathBuf;
 
@@ -109,8 +106,16 @@ fn golden_cases() -> Vec<(String, Box<dyn HardDecoder>, GoldenFile)> {
         .map(|kind| -> (String, Box<dyn HardDecoder>, u64) {
             match kind {
                 EncoderKind::None => ("uncoded_4".into(), Box::new(Uncoded::new(4)), 0x04),
-                EncoderKind::Hamming74 => ("hamming_7_4".into(), Box::new(Hamming74::new()), 0x74),
-                EncoderKind::Hamming84 => ("hamming_8_4".into(), Box::new(Hamming84::new()), 0x84),
+                EncoderKind::Hamming74 => (
+                    "hamming_7_4".into(),
+                    Box::new(ColumnCode::hamming74()),
+                    0x74,
+                ),
+                EncoderKind::Hamming84 => (
+                    "hamming_8_4".into(),
+                    Box::new(ColumnCode::hamming84()),
+                    0x84,
+                ),
                 EncoderKind::Rm13 => ("rm_1_3".into(), Box::new(Rm13::new()), 0x13),
                 EncoderKind::SecDed(m) => {
                     let (k, seed) = match m {
@@ -123,13 +128,13 @@ fn golden_cases() -> Vec<(String, Box<dyn HardDecoder>, GoldenFile)> {
                     let n = k + usize::from(m) + 2;
                     (
                         format!("secded_{n}_{k}"),
-                        Box::new(SecDed::new(usize::from(m))),
+                        Box::new(ColumnCode::sec_ded(usize::from(m))),
                         seed,
                     )
                 }
                 EncoderKind::WideHamming8564 => (
                     "shamming_85_64".into(),
-                    Box::new(ShortenedHamming::wide_85_64()),
+                    Box::new(ColumnCode::wide_85_64()),
                     0x8564,
                 ),
                 EncoderKind::Bch(spec) => {

@@ -57,7 +57,7 @@ const FIG5_ERRORS_FNV: u64 = 0xf05e_74aa_1eda_9c25;
 const SECDED_DECODE_FNV: u64 = 0x1cbf_80f6_f8ae_c63b;
 
 fn secded_decode_fingerprint() -> u64 {
-    let codec = BatchCodec::new(&sfq_ecc::ecc::SecDed::new(6));
+    let codec = BatchCodec::new(&sfq_ecc::ecc::ColumnCode::sec_ded(6));
     let mut rng = StdRng::seed_from_u64(0x00DE_7E81);
     let messages: Vec<BitVec> = (0..256)
         .map(|_| BitVec::from_u64(64, rng.random::<u64>()))
